@@ -36,9 +36,10 @@ func BenchmarkFig1Characterization(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIISGDReconstruction times the three parallel SGD
-// reconstructions of one decision quantum (paper: 4.8 ms on a 32-core
-// server; see EXPERIMENTS.md for host scaling).
+// BenchmarkTableIISGDReconstruction times the three SGD
+// reconstructions of one decision quantum in the runtime's call shape
+// (paper: 4.8 ms on a 32-core server; see EXPERIMENTS.md for host
+// scaling).
 func BenchmarkTableIISGDReconstruction(b *testing.B) {
 	var last experiments.TableIIResult
 	for i := 0; i < b.N; i++ {
@@ -250,7 +251,7 @@ func benchFleet(b *testing.B, n, workers int, pipeline bool) *cuttlesys.Fleet {
 		})
 		nodes[i] = cuttlesys.FleetNode{
 			Machine:   m,
-			Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seeds[i], SGD: cuttlesys.SGDParams{Deterministic: true}}),
+			Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seeds[i]}),
 		}
 	}
 	f, err := cuttlesys.NewFleet(cuttlesys.FleetConfig{

@@ -11,8 +11,7 @@
 //
 // Every run is deterministic: a fixed -seed produces a byte-identical
 // report regardless of GOMAXPROCS, because machine stepping merges in
-// index order and each machine's SGD runs in deterministic-parallel
-// mode (bit-identical to the serial sweep at any processor count).
+// index order and each machine's SGD has one serial update order.
 //
 // With any of -trace, -chrome or -prom set, the sweep is replaced by
 // one traced fleet chaos run (QoS-aware router, headroom arbiter, a
@@ -200,9 +199,6 @@ func traced(service string, machines, slices int, load, capFrac float64, seed ui
 
 // compileSpec loads one spec-library scenario and compiles it against
 // the run's flags; the flags win over the spec's declared geometry.
-// SGD on every machine runs in deterministic-parallel mode:
-// reconstructions use all available processors yet stay bit-identical
-// to the serial sweep, so the report does not depend on GOMAXPROCS.
 func compileSpec(name, service string, machines, slices int, load, capFrac float64, seed uint64) (*cuttlesys.CompiledScenario, error) {
 	src, err := specs.Source(name)
 	if err != nil {

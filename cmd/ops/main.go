@@ -26,8 +26,8 @@
 //
 // Every run is deterministic: control decisions run serially between
 // slices from last-slice telemetry, machine stepping merges in index
-// order, and SGD runs the deterministic wavefront trainer, so a fixed
-// -seed produces a byte-identical report at any GOMAXPROCS.
+// order, and SGD has one serial update order, so a fixed -seed
+// produces a byte-identical report at any GOMAXPROCS.
 //
 // Usage:
 //
@@ -164,7 +164,7 @@ func suite(service string, machines, slices int, load, capFrac float64, seed uin
 
 // runDrill compiles one drill spec against the flags and runs its
 // managed fleet. Every machine — initial or provisioned later — runs
-// the full CuttleSys runtime with deterministic-parallel SGD.
+// the full CuttleSys runtime.
 func runDrill(name, service string, machines, slices int, load, capFrac float64, seed uint64) (DrillReport, error) {
 	src, err := specs.Source(name)
 	if err != nil {

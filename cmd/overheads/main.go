@@ -1,7 +1,8 @@
 // Command overheads regenerates Table II: the wall-clock cost of one
 // decision quantum's scheduling work — the profiling windows (fixed by
-// design), the three parallel SGD reconstructions, and one parallel
-// DDS search at the Fig. 6 parameters.
+// design), the three SGD reconstructions (a SIMD-lane pair beside a
+// single, as the runtime runs them), and one parallel DDS search at the
+// Fig. 6 parameters.
 //
 // Usage:
 //

@@ -1,6 +1,8 @@
 package cuttlesys_test
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"cuttlesys"
@@ -57,6 +59,39 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 				t.Fatalf("%s: no work", c.name)
 			}
 		})
+	}
+}
+
+// TestDefaultRuntimeSeedContract pins the seed contract on the
+// default path: a zero-valued RuntimeParams apart from its Seed must
+// give the same slice records whatever the processor count, so no
+// single-machine result depends on the host's width.
+func TestDefaultRuntimeSeedContract(t *testing.T) {
+	lc := mustApp(t, "xapian")
+	_, pool := cuttlesys.SplitTrainTest(1, 16)
+	run := func(seed uint64, procs int) *cuttlesys.Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
+			Seed: seed, LC: lc, Batch: cuttlesys.Mix(seed, pool, 16), Reconfigurable: true,
+		})
+		res, err := cuttlesys.Run(m, cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seed}), 4,
+			cuttlesys.ConstantLoad(0.7), cuttlesys.ConstantBudget(0.8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, seed := range []uint64{1, 2} {
+		narrow, wide := run(seed, 1), run(seed, 4)
+		if !reflect.DeepEqual(narrow.Slices, wide.Slices) {
+			for i := range narrow.Slices {
+				if !reflect.DeepEqual(narrow.Slices[i], wide.Slices[i]) {
+					t.Fatalf("seed %d: slice %d differs between GOMAXPROCS=1 and 4:\n1: %+v\n4: %+v",
+						seed, i, narrow.Slices[i], wide.Slices[i])
+				}
+			}
+			t.Fatalf("seed %d: results differ between GOMAXPROCS=1 and 4", seed)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/obs"
-	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -62,9 +61,8 @@ func (s ObsTraceSetup) withDefaults() ObsTraceSetup {
 // RunObsTrace executes the traced fleet chaos run and returns the
 // recorder holding its trace, metrics and profile alongside the fleet
 // result. Every simulated-time export from the recorder is
-// byte-deterministic for a fixed setup at any GOMAXPROCS: machines
-// run deterministic-parallel SGD and the recorder orders events
-// canonically.
+// byte-deterministic for a fixed setup at any GOMAXPROCS: SGD has one
+// serial update order and the recorder orders events canonically.
 func RunObsTrace(s ObsTraceSetup) (*obs.Recorder, *fleet.Result, error) {
 	s = s.withDefaults()
 	lc, err := workload.ByName(s.Service)
@@ -83,12 +81,9 @@ func RunObsTrace(s ObsTraceSetup) (*obs.Recorder, *fleet.Result, error) {
 			Batch:          workload.Mix(seeds[i], pool, 16),
 			Reconfigurable: true,
 		})
-		// Deterministic SGD: traced runs promise byte-identical output
-		// across GOMAXPROCS, so intra-machine HOGWILD is replaced by the
-		// serial-equivalent wavefront trainer.
 		specs[i] = fleet.NodeSpec{
 			Machine:   m,
-			Scheduler: core.New(m, core.Params{Seed: seeds[i], SGD: sgd.Params{Deterministic: true}}),
+			Scheduler: core.New(m, core.Params{Seed: seeds[i]}),
 		}
 		if !s.FaultFree && s.Machines > 1 && i == 1 {
 			// The window closes at 2/3 of the run so the recover instant

@@ -8,8 +8,8 @@
 //
 // Determinism is the design constraint. Every fold the plane performs
 // runs in the fleet's serial section (the fleet.SharePlane hook fires
-// after the index-ordered fold) and follows the same discipline as the
-// wavefront trainer of PR 5: publications are merged in ascending
+// after the index-ordered fold) and follows the fleet's merge
+// discipline: publications are merged in ascending
 // machine-id order, store keys are visited in ascending key order, and
 // the decay fold is a fixed-order element-wise expression — so the
 // aggregate bytes never depend on publish arrival order, goroutine

@@ -109,13 +109,13 @@ func (f *Factors) Fingerprint() uint64 {
 	return h
 }
 
-// ReconstructFactors runs the parallel reconstruction (identical to
-// ReconstructParallel) and additionally exports the trained factor
+// ReconstructFactors runs the reconstruction (identical to
+// Reconstruct) and additionally exports the trained factor
 // state for publication on the model-sharing plane. Export is refused
 // with ErrColdModel when the model completed zero iterations — an
 // empty observation matrix never trains, so its factors are noise.
 func ReconstructFactors(m *Matrix, params Params) (*Prediction, *Factors, error) {
-	pred, fac := reconstructFull(m, params.withDefaults(), true, true)
+	pred, fac := prepareTraining(m, params.withDefaults()).train(true)
 	if pred.Iters == 0 || fac == nil {
 		return pred, nil, fmt.Errorf("%w (%d observed entries)", ErrColdModel, pred.Observed)
 	}

@@ -41,8 +41,8 @@ func TestColdFactorExportRefused(t *testing.T) {
 func TestFactorExportMatchesReconstruction(t *testing.T) {
 	vals := lowRankMatrix(11, 8, 12, 3)
 	m := observeDense(vals, 6, 4)
-	p := Params{Factors: 3, MaxIter: 120, Deterministic: true, Seed: 7}
-	want := ReconstructParallel(m, p)
+	p := Params{Factors: 3, MaxIter: 120, Seed: 7}
+	want := Reconstruct(m, p)
 	pred, fac, err := ReconstructFactors(m, p)
 	if err != nil {
 		t.Fatalf("export: %v", err)
@@ -68,10 +68,14 @@ func TestFactorExportMatchesReconstruction(t *testing.T) {
 	}
 }
 
+// TestWarmStartDeterministicAcrossWorkers checks that a warm-started
+// fine-tune is capped at WarmIters sweeps and that two fine-tunes from
+// the same donor factors give the same bits: training copies the warm
+// state rather than writing through to the shared donor.
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	vals := lowRankMatrix(3, 10, 14, 3)
 	donor := observeDense(vals, -1, 0)
-	p := Params{Factors: 3, MaxIter: 100, Deterministic: true, Seed: 5}
+	p := Params{Factors: 3, MaxIter: 100, Seed: 5}
 	_, fac, err := ReconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)
@@ -82,18 +86,14 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	warm.Warm = fac
 	warm.WarmIters = 10
 	ref := Reconstruct(sparse, warm)
-	for _, workers := range []int{1, 2, 3, 7} {
-		wp := warm
-		wp.Workers = workers
-		got := ReconstructParallel(sparse, wp)
-		if got.Iters != 10 {
-			t.Fatalf("workers=%d: WarmIters should cap sweeps at 10, got %d", workers, got.Iters)
-		}
-		for i := 0; i < sparse.Rows; i++ {
-			for j := 0; j < sparse.Cols; j++ {
-				if got.At(i, j) != ref.At(i, j) {
-					t.Fatalf("workers=%d: warm wavefront diverges from serial at (%d,%d)", workers, i, j)
-				}
+	got := Reconstruct(sparse, warm)
+	if got.Iters != 10 {
+		t.Fatalf("WarmIters should cap sweeps at 10, got %d", got.Iters)
+	}
+	for i := 0; i < sparse.Rows; i++ {
+		for j := 0; j < sparse.Cols; j++ {
+			if got.At(i, j) != ref.At(i, j) {
+				t.Fatalf("warm start diverges at (%d,%d)", i, j)
 			}
 		}
 	}
@@ -102,7 +102,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 func TestWarmStartBeatsColdOnSparseRow(t *testing.T) {
 	vals := lowRankMatrix(17, 9, 12, 3)
 	donor := observeDense(vals, -1, 0)
-	p := Params{Factors: 3, MaxIter: 150, Deterministic: true, Seed: 9}
+	p := Params{Factors: 3, MaxIter: 150, Seed: 9}
 	_, fac, err := ReconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)

@@ -37,8 +37,8 @@ const pairFactors = 6
 
 // ReconstructPair reconstructs two independent observation matrices,
 // training both at once in SIMD lanes when the pair qualifies (see
-// pairable). Results are bit-identical to calling ReconstructParallel
-// on each matrix separately, whether or not the paired kernel ran.
+// pairable). Results are bit-identical to calling Reconstruct on each
+// matrix separately, whether or not the paired kernel ran.
 func ReconstructPair(a, b *Matrix, pa, pb Params) (*Prediction, *Prediction) {
 	ra, rb, _, _ := reconstructPair(a, b, pa.withDefaults(), pb.withDefaults(), false)
 	return ra, rb
@@ -51,26 +51,11 @@ func ReconstructPairFactors(a, b *Matrix, pa, pb Params) (*Prediction, *Predicti
 	return reconstructPair(a, b, pa.withDefaults(), pb.withDefaults(), true)
 }
 
-// serialOrder reports whether training under p follows the serial
-// sweep order exactly, making it a candidate for lane-pairing. The
-// wavefront trainer (Deterministic) and the single-worker path are
-// both bit-identical to trainSerial; the HOGWILD! trainer is not and
-// must keep its racy schedule.
-func serialOrder(p Params) bool {
-	return p.Deterministic || p.Workers <= 1
-}
-
 func reconstructPair(a, b *Matrix, pa, pb Params, capture bool) (*Prediction, *Prediction, *Factors, *Factors) {
-	if !pairKernelOK || !serialOrder(pa) || !serialOrder(pb) {
-		predA, facA := reconstructFull(a, pa, true, capture)
-		predB, facB := reconstructFull(b, pb, true, capture)
-		return predA, predB, facA, facB
-	}
-	sa := prepareTraining(a, pa)
-	sb := prepareTraining(b, pb)
-	if !pairable(sa, sb) {
-		predA, facA := reconstructFull(a, pa, true, capture)
-		predB, facB := reconstructFull(b, pb, true, capture)
+	sa, sb := prepareTraining(a, pa), prepareTraining(b, pb)
+	if !pairKernelOK || !pairable(sa, sb) {
+		predA, facA := sa.train(capture)
+		predB, facB := sb.train(capture)
 		return predA, predB, facA, facB
 	}
 	trainPair(sa, sb)

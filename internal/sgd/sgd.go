@@ -18,20 +18,19 @@
 // would overfit immediately, so this implementation uses the low-rank
 // form of the cited PQ-reconstruction work.
 //
-// ReconstructParallel is the paper's lock-free parallel variant (§V):
-// rows are sharded across workers, whose updates to the shared column
-// factors race benignly (HOGWILD! [95, 96]). Shared values go through
-// sync/atomic so the Go memory model is respected — lost updates
-// remain possible, which is exactly the bounded inaccuracy the paper
-// reports (~1%).
+// Training has exactly one update order: Alg. 1's serial sweep over
+// the observed entries in row-major order, so the same matrix and
+// Params give the same bits on every host and at every GOMAXPROCS.
+// The paper parallelises each reconstruction with the lock-free
+// HOGWILD! trainer [95, 96]; this implementation keeps each sweep
+// serial and takes its parallelism across reconstructions instead —
+// ReconstructPair trains two surfaces at once in SIMD lanes, and the
+// runtime runs its surface pairs on separate goroutines.
 package sgd
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cuttlesys/internal/mat"
 	"cuttlesys/internal/rng"
@@ -108,19 +107,6 @@ type Params struct {
 	// MaxIter is the number of SGD sweeps over the observed entries
 	// (Alg. 1's maxIter). Default 250.
 	MaxIter int
-	// Workers is the number of lock-free parallel workers used by
-	// ReconstructParallel; 0 means GOMAXPROCS capped at 8.
-	Workers int
-	// Deterministic makes ReconstructParallel use the wavefront
-	// scheduler instead of the HOGWILD! trainer: observations are
-	// sharded into contiguous row blocks and every update waits for the
-	// previous toucher of its column, so each SGD step reads exactly the
-	// state the serial sweep would have produced. The reconstruction is
-	// bit-identical to Reconstruct at any worker count and GOMAXPROCS —
-	// parallelism becomes a pure performance knob. Fleet-scale callers
-	// that previously pinned Workers to 1 for reproducibility should set
-	// this instead.
-	Deterministic bool
 	// LogSpace trains on log(v): tail latency spans four orders of
 	// magnitude across configurations and loads, and the relative-error
 	// objective the paper reports is additive in log space.
@@ -167,13 +153,6 @@ func (p Params) withDefaults() Params {
 	if p.MaxIter == 0 {
 		p.MaxIter = 250
 	}
-	if p.Workers == 0 {
-		//lint:allow dettaint sets execution width only; the wavefront trainer is bit-identical at any worker count
-		p.Workers = runtime.GOMAXPROCS(0)
-		if p.Workers > 8 {
-			p.Workers = 8
-		}
-	}
 	return p
 }
 
@@ -199,26 +178,15 @@ func (p *Prediction) Row(i int) []float64 {
 
 const logFloor = 1e-9 // guards log-space transform against zeros
 
-// Reconstruct runs the serial Alg. 1 and returns the completed matrix.
+// Reconstruct runs Alg. 1 and returns the completed matrix.
 func Reconstruct(m *Matrix, params Params) *Prediction {
-	return reconstruct(m, params.withDefaults(), false)
-}
-
-// ReconstructParallel runs the parallel variant (§V): the lock-free
-// HOGWILD! trainer by default, or — with Params.Deterministic — the
-// wavefront trainer whose result is bit-identical to Reconstruct.
-func ReconstructParallel(m *Matrix, params Params) *Prediction {
-	return reconstruct(m, params.withDefaults(), true)
+	pred, _ := prepareTraining(m, params.withDefaults()).train(false)
+	return pred
 }
 
 type obs struct {
 	i, j int
 	v    float64
-}
-
-func reconstruct(m *Matrix, p Params, parallel bool) *Prediction {
-	pred, _ := reconstructFull(m, p, parallel, false)
-	return pred
 }
 
 // trainState is a reconstruction caught between initialisation and
@@ -379,19 +347,13 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 	return pred, fac
 }
 
-func reconstructFull(m *Matrix, p Params, parallel, capture bool) (*Prediction, *Factors) {
-	st := prepareTraining(m, p)
+// train runs the serial sweep on a prepared state and renders the
+// prediction; an empty state returns its all-zero prediction untrained.
+func (st *trainState) train(capture bool) (*Prediction, *Factors) {
 	if len(st.entries) == 0 {
 		return st.pred, nil
 	}
-	switch {
-	case parallel && st.p.Deterministic:
-		trainWavefront(st.entries, st.p, st.mu, st.f, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
-	case parallel:
-		trainParallel(st.entries, st.p, st.mu, st.f, m.Rows, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
-	default:
-		trainSerial(st.entries, st.p, st.mu, st.f, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
-	}
+	trainSerial(st.entries, st.p, st.mu, st.f, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
 	return st.finish(capture)
 }
 
@@ -421,75 +383,6 @@ func trainSerial(entries []obs, p Params, mu float64, f int, q, pc, rowBias, col
 				pj[k] += eta * (err*qk - lam*pk)
 			}
 		}
-	}
-}
-
-// trainParallel shards observations by row across workers. Row factors
-// and row biases are worker-private (rows are disjoint); column
-// factors and biases are shared through atomic loads/stores without
-// locking — concurrent read-modify-write sequences may lose updates,
-// the HOGWILD! trade the paper adopts for its 3.5× speedup.
-func trainParallel(entries []obs, p Params, mu float64, f, rows int, q, pc, rowBias, colBias []float64, biasOnly []bool) {
-	workers := p.Workers
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		trainSerial(entries, p, mu, f, q, pc, rowBias, colBias, biasOnly)
-		return
-	}
-	// Shared state as atomic bit patterns.
-	pcAtomic := make([]uint64, len(pc))
-	for i, v := range pc {
-		pcAtomic[i] = math.Float64bits(v)
-	}
-	cbAtomic := make([]uint64, len(colBias))
-
-	shards := make([][]obs, workers)
-	for _, e := range entries {
-		w := e.i % workers
-		shards[w] = append(shards[w], e)
-	}
-
-	eta, lam := p.LearningRate, p.Reg
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		if len(shards[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard []obs) {
-			defer wg.Done()
-			pj := make([]float64, f)
-			for iter := 0; iter < p.MaxIter; iter++ {
-				for _, e := range shard {
-					qi := q[e.i*f : (e.i+1)*f]
-					base := e.j * f
-					for k := 0; k < f; k++ {
-						pj[k] = math.Float64frombits(atomic.LoadUint64(&pcAtomic[base+k]))
-					}
-					cb := math.Float64frombits(atomic.LoadUint64(&cbAtomic[e.j]))
-					err := e.v - (mu + rowBias[e.i] + cb + dotf(qi, pj))
-					rowBias[e.i] += eta * (err - lam*rowBias[e.i])
-					atomic.StoreUint64(&cbAtomic[e.j], math.Float64bits(cb+eta*(err-lam*cb)))
-					if biasOnly[e.i] {
-						continue
-					}
-					for k := 0; k < f; k++ {
-						qk, pk := qi[k], pj[k]
-						qi[k] += eta * (err*pk - lam*qk)
-						atomic.StoreUint64(&pcAtomic[base+k], math.Float64bits(pk+eta*(err*qk-lam*pk)))
-					}
-				}
-			}
-		}(shards[w])
-	}
-	wg.Wait()
-	for i := range pc {
-		pc[i] = math.Float64frombits(pcAtomic[i])
-	}
-	for i := range colBias {
-		colBias[i] = math.Float64frombits(cbAtomic[i])
 	}
 }
 
