@@ -100,8 +100,9 @@ hotpath:
 bench-hotpath:
 	$(GO) run ./cmd/hotpath -o BENCH_hotpath.json
 
-# Race-detect the hot-path packages plus the pipelined driver — the
-# code the fast plane touches — without paying for the full -race run.
+# Race-detect the hot-path packages plus the slice driver and the
+# parallel fleet stepping — the code the fast plane touches — without
+# paying for the full -race run.
 race-hot:
 	$(GO) test -race ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/harness/ ./internal/fleet/ ./cmd/hotpath/
 

@@ -2,20 +2,19 @@
 // the full seeded grids, that every fast-path structure introduced by
 // the hot-path rounds reproduces the pointwise code it replaced
 // bit-for-bit — the staged perf surface tables against the pointwise
-// model, the batched Erlang-C tail-latency solver against the scalar
-// analytic, and the pipelined decide/hold schedule against the serial
-// fleet — and reports the work the fast plane did: surface-table
-// builds, zero-alloc lookups served, and decision quanta whose
-// scheduler compute overlapped the hold phase.
+// model and the batched Erlang-C tail-latency solver against the
+// scalar analytic — and reports the work the fast plane did in one
+// seeded fleet run: surface-table builds and zero-alloc lookups
+// served.
 //
 // Every run is deterministic: a fixed seed produces a byte-identical
 // report regardless of GOMAXPROCS, because the audits compare exact
-// float64 bit patterns and the pipelined driver joins before any
-// shared state is read. BENCH_hotpath.json pins the reference audit.
+// float64 bit patterns and the fleet merges machine results in index
+// order. BENCH_hotpath.json pins the reference audit.
 //
-// With -sweep, the audit is followed by a wall-clock fleet-stepping
-// throughput sweep (16 and 256 machines) printed to stderr; timing is
-// host-dependent and never part of the JSON report.
+// With -sweep, the audit is followed by a wall-clock sweep of parallel
+// fleet-stepping throughput (16 and 256 machines) printed to stderr;
+// timing is host-dependent and never part of the JSON report.
 //
 // Usage:
 //
@@ -28,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"reflect"
 	"strings"
 	"time"
 
@@ -60,32 +58,29 @@ type QsimAudit struct {
 	Equal      bool `json:"equal"`
 }
 
-// PipelineAudit is the pipelined-vs-serial fleet comparison plus the
-// fast-plane work counters of the pipelined run.
-type PipelineAudit struct {
-	Machines      int    `json:"machines"`
-	Slices        int    `json:"slices"`
-	MatchSerial   bool   `json:"matchSerial"`
-	OverlapQuanta uint64 `json:"overlapQuanta"`
-	TableBuilds   uint64 `json:"tableBuilds"`
-	TableLookups  uint64 `json:"tableLookups"`
+// FleetWork holds the fast-plane work counters of one seeded fleet run.
+type FleetWork struct {
+	Machines     int    `json:"machines"`
+	Slices       int    `json:"slices"`
+	TableBuilds  uint64 `json:"tableBuilds"`
+	TableLookups uint64 `json:"tableLookups"`
 }
 
 // Report is the full fast-plane audit.
 type Report struct {
-	Services []string      `json:"services"`
-	Seed     uint64        `json:"seed"`
-	Load     float64       `json:"load"`
-	Cap      float64       `json:"cap"`
-	Table    []TableCell   `json:"tableAudit"`
-	Qsim     QsimAudit     `json:"qsimAudit"`
-	Pipeline PipelineAudit `json:"pipelineAudit"`
+	Services []string    `json:"services"`
+	Seed     uint64      `json:"seed"`
+	Load     float64     `json:"load"`
+	Cap      float64     `json:"cap"`
+	Table    []TableCell `json:"tableAudit"`
+	Qsim     QsimAudit   `json:"qsimAudit"`
+	Fleet    FleetWork   `json:"fleetWork"`
 }
 
 func main() {
 	services := flag.String("services", "xapian,masstree,imgdnn", "comma-separated latency-critical services")
 	seed := flag.Uint64("seed", 1, "experiment seed")
-	machines := flag.Int("machines", 4, "machines in the pipeline audit fleet")
+	machines := flag.Int("machines", 4, "machines in the fleet work run")
 	slices := flag.Int("slices", 5, "timeslices per fleet run")
 	load := flag.Float64("load", 0.7, "LC offered load fraction")
 	capFrac := flag.Float64("cap", 0.65, "power cap fraction of reference max power")
@@ -116,7 +111,7 @@ func audit(services []string, seed uint64, machines, slices int, load, capFrac f
 		return nil, err
 	}
 	qsimAudit(rep)
-	if err := pipelineAudit(rep, services[0], seed, machines, slices, load, capFrac); err != nil {
+	if err := fleetWork(rep, services[0], seed, machines, slices, load, capFrac); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -212,8 +207,8 @@ func bitEq(a, b float64) bool {
 }
 
 // auditFleet assembles n full CuttleSys runtimes behind a QoS-aware
-// router, optionally with decide/hold pipelining.
-func auditFleet(service string, seed uint64, n int, pipeline bool) (*cuttlesys.Fleet, error) {
+// router, stepped in parallel (one goroutine per machine).
+func auditFleet(service string, seed uint64, n int) (*cuttlesys.Fleet, error) {
 	lc, err := cuttlesys.AppByName(service)
 	if err != nil {
 		return nil, err
@@ -231,49 +226,32 @@ func auditFleet(service string, seed uint64, n int, pipeline bool) (*cuttlesys.F
 		}
 	}
 	return cuttlesys.NewFleet(cuttlesys.FleetConfig{
-		Router: cuttlesys.LeastLoadedRouter{}, Arbiter: cuttlesys.HeadroomArbiter{}, Pipeline: pipeline,
+		Router: cuttlesys.LeastLoadedRouter{}, Arbiter: cuttlesys.HeadroomArbiter{},
 	}, nodes...)
 }
 
-// pipelineAudit runs the identical fleet serial and pipelined and
-// requires the merged slice records to match bit-for-bit; the
-// fast-plane work counters come from the pipelined run.
-func pipelineAudit(rep *Report, service string, seed uint64, machines, slices int, load, capFrac float64) error {
-	run := func(pipeline bool) (*cuttlesys.FleetResult, *cuttlesys.Fleet, error) {
-		f, err := auditFleet(service, seed, machines, pipeline)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		res, err := f.Run(slices, cuttlesys.ConstantLoad(load), cuttlesys.ConstantBudget(capFrac))
-		return res, f, err
-	}
-	serial, _, err := run(false)
+// fleetWork runs the seeded audit fleet once and records the
+// surface-table work counters it accumulated.
+func fleetWork(rep *Report, service string, seed uint64, machines, slices int, load, capFrac float64) error {
+	f, err := auditFleet(service, seed, machines)
 	if err != nil {
 		return err
 	}
-	piped, pf, err := run(true)
-	if err != nil {
+	defer f.Close()
+	if _, err := f.Run(slices, cuttlesys.ConstantLoad(load), cuttlesys.ConstantBudget(capFrac)); err != nil {
 		return err
 	}
-	builds, lookups := pf.SurfaceStats()
-	rep.Pipeline = PipelineAudit{
-		Machines:      machines,
-		Slices:        slices,
-		MatchSerial:   reflect.DeepEqual(serial.Slices, piped.Slices),
-		OverlapQuanta: pf.OverlapQuanta(),
-		TableBuilds:   builds,
-		TableLookups:  lookups,
-	}
+	builds, lookups := f.SurfaceStats()
+	rep.Fleet = FleetWork{Machines: machines, Slices: slices, TableBuilds: builds, TableLookups: lookups}
 	return nil
 }
 
-// throughputSweep times pipelined fleet stepping at 16 and 256
+// throughputSweep times parallel fleet stepping at 16 and 256
 // machines and prints machine-slices per second to stderr. Wall-clock
 // figures are host-dependent by nature; they never enter the report.
 func throughputSweep(load, capFrac float64) error {
 	for _, n := range []int{16, 256} {
-		f, err := auditFleet("xapian", 1, n, true)
+		f, err := auditFleet("xapian", 1, n)
 		if err != nil {
 			return err
 		}

@@ -402,14 +402,6 @@ func lcTrainingRows(trainSeed uint64, nTrainLC, cores int) []lcTrainRow {
 // Name implements harness.Scheduler.
 func (rt *Runtime) Name() string { return "cuttlesys" }
 
-// DecisionOverheadSec implements harness.FixedOverhead: every Decide
-// path — optimisation and safe fallback alike — charges the same
-// modeled compute constant, so the driver may overlap the decision
-// with the hold phase.
-func (rt *Runtime) DecisionOverheadSec() float64 { return rt.p.OverheadSec }
-
-var _ harness.FixedOverhead = (*Runtime)(nil)
-
 // batchRow maps batch job i to its matrix row.
 func (rt *Runtime) batchRow(i int) int { return rt.p.NTrainBatch + i }
 

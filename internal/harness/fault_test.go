@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -147,67 +148,41 @@ func TestProfileRetryBounded(t *testing.T) {
 	}
 }
 
-// TestProfileRetryParams covers the configurable bound: an explicit
-// Params.MaxProfileRetries is honoured, a negative bound disables
-// retries, and a huge bound with a permanently failing validator
-// degrades gracefully — re-profiling stops at half the quantum, the
-// decision and steady phase still run, and the slice stays exactly one
-// SliceDur on the clock grid.
+// TestProfileRetryParams covers the half-quantum guard under the
+// MaxProfileRetries bound: with a permanently failing validator and
+// two 0.01 s profile windows, a second re-profile would end past half
+// the quantum, so retries stop at 1 — below the bound. The decision
+// and steady phase still run, and the slice ends exactly one SliceDur
+// after it started.
 func TestProfileRetryParams(t *testing.T) {
 	prof := sim.Uniform(16, true, 16, config.Narrowest, config.OneWay)
-	mk := func(rejections int) *validatingScheduler {
-		return &validatingScheduler{
-			staticScheduler: staticScheduler{
-				alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
-				profiles: []Phase{{Dur: 0.001, Alloc: prof}, {Dur: 0.001, Alloc: prof}},
-			},
-			rejections: rejections,
-		}
+	s := &validatingScheduler{
+		staticScheduler: staticScheduler{
+			alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
+			profiles: []Phase{{Dur: 0.01, Alloc: prof}, {Dur: 0.01, Alloc: prof}},
+		},
+		rejections: 1 << 30,
 	}
-	step := func(s *validatingScheduler, p Params) SliceRecord {
-		t.Helper()
-		m := testMachine(t)
-		d, err := NewDriver(m, Single(s), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetParams(p)
-		rec, err := d.StepSlice([]float64{0.5 * m.LC().MaxQPS}, 0.5, 0.8*m.MaxPowerW())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Now() - rec.T; got > SliceDur+1e-9 {
-			t.Fatalf("slice overran the quantum: %v elapsed", got)
-		}
-		if s.decides != 1 {
-			t.Fatalf("decision phases: %d, want 1", s.decides)
-		}
-		if len(s.steadies) != 1 || s.steadies[0].Dur <= 0 {
-			t.Fatal("steady phase did not run")
-		}
-		return rec
+	m := testMachine(t)
+	d, err := NewDriver(m, Single(s), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Explicit bound honoured.
-	if rec := step(mk(1000), Params{MaxProfileRetries: 5}); rec.ProfileRetries != 5 {
-		t.Fatalf("ProfileRetries = %d, want 5", rec.ProfileRetries)
+	rec, err := d.StepSlice([]float64{0.5 * m.LC().MaxQPS}, 0.5, 0.8*m.MaxPowerW())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Negative bound disables retries.
-	if rec := step(mk(1000), Params{MaxProfileRetries: -1}); rec.ProfileRetries != 0 {
-		t.Fatalf("ProfileRetries = %d with retries disabled", rec.ProfileRetries)
+	if rec.ProfileRetries != 1 {
+		t.Fatalf("ProfileRetries = %d, want 1 (guard below MaxProfileRetries = %d)", rec.ProfileRetries, MaxProfileRetries)
 	}
-	// Zero selects the package default.
-	if rec := step(mk(1000), Params{}); rec.ProfileRetries != MaxProfileRetries {
-		t.Fatalf("ProfileRetries = %d, want default %d", rec.ProfileRetries, MaxProfileRetries)
+	if s.decides != 1 {
+		t.Fatalf("decision phases: %d, want 1", s.decides)
 	}
-	// Huge bound, persistent corruption: the half-quantum guard stops
-	// re-profiling long before the bound, leaving the slice intact.
-	rec := step(mk(1<<30), Params{MaxProfileRetries: 1 << 30})
-	if rec.ProfileRetries >= 1<<30 {
-		t.Fatal("retry bound was not cut short by the slice-time guard")
+	if len(s.steadies) != 1 || s.steadies[0].Dur <= 0 {
+		t.Fatal("steady phase did not run")
 	}
-	if rec.ProfileRetries < MaxProfileRetries {
-		t.Fatalf("guard fired too early: %d retries", rec.ProfileRetries)
+	if got := m.Now() - rec.T; math.Abs(got-SliceDur) > 1e-9 {
+		t.Fatalf("slice took %v, want exactly one SliceDur (%v)", got, SliceDur)
 	}
 }
 

@@ -71,3 +71,42 @@ func TestNopCollectorAddsNoSliceAllocations(t *testing.T) {
 		t.Fatalf("nop telemetry path allocated %.1f times per slice, want 0", allocs)
 	}
 }
+
+// TestHotpathTelemetryEmitted: a traced run reports the machine's
+// surface-table counters as monotone metric series.
+func TestHotpathTelemetryEmitted(t *testing.T) {
+	m := testMachine(t)
+	s := &staticScheduler{
+		alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
+		profiles: []Phase{{Dur: 0.001, Alloc: sim.Uniform(16, true, 16, config.Narrowest, config.OneWay)}},
+		overhead: 0.0061,
+	}
+	d, err := NewDriver(m, Single(s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Detach()
+	rec := obs.NewRecorder()
+	d.SetCollector(rec)
+	qps := []float64{0.5 * m.LC().MaxQPS}
+	for i := 0; i < 3; i++ {
+		if _, err := d.StepSlice(qps, 0.5, 0.8*m.MaxPowerW()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := rec.Registry().Snapshot()
+	var lookups float64
+	found := false
+	for _, s := range snap {
+		if s.Name == obs.MetricHotpathLookups {
+			lookups, found = s.Value, true
+		}
+	}
+	if !found || lookups <= 0 {
+		t.Fatalf("hotpath lookup metric missing or zero (found=%v, v=%v)", found, lookups)
+	}
+	_, machineLookups := m.SurfaceStats()
+	if lookups != float64(machineLookups) {
+		t.Fatalf("metric reports %v lookups, machine counted %d", lookups, machineLookups)
+	}
+}
